@@ -12,13 +12,17 @@
 // incrementally — only the moved vertex and its neighbors — on every move.
 // A greedy pass therefore costs O(n) for the random permutation plus
 // O(degree) per *boundary* vertex, instead of the O(n + m) full scan of the
-// pre-boundary implementation. The full scan survives as Options.FullScan,
-// the reference implementation the boundary-driven refiner is pinned
-// bit-identical to (see boundary_test.go and DESIGN.md, "Boundary
-// refinement contract").
+// pre-boundary implementation. A one-byte refinement state per vertex sits
+// in front of the caches: boundary vertices whose every gain is provably
+// negative are idle and skipped without touching the caches, until a move
+// next to them makes them worth evaluating again. The refiner is pinned
+// bit-identical to a full-scan oracle kept in the tests (see
+// boundary_test.go and DESIGN.md, "Boundary refinement contract").
 package kwayrefine
 
 import (
+	"fmt"
+
 	"repro/internal/check"
 	"repro/internal/gaincache"
 	"repro/internal/graph"
@@ -35,14 +39,6 @@ type Options struct {
 	// paper notes the iteration count is upper bounded but stops early at
 	// a local minimum.
 	Passes int
-	// FullScan selects the reference full-scan implementation: every pass
-	// visits all n vertices and re-derives each vertex's gain rows and
-	// internal degree from the adjacency list instead of consulting the
-	// boundary set and the cached tables. It exists as the bit-identity
-	// baseline for the boundary-driven default (property-tested in
-	// boundary_test.go) and as an ablation; production callers leave it
-	// false.
-	FullScan bool
 	// Stop, when non-nil, is polled at every pass boundary; once it
 	// returns true Refine/Balance return early with the moves made so
 	// far. The partitioning is always left in a consistent (if less
@@ -50,8 +46,9 @@ type Options struct {
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per refinement
 	// pass (the observability hook; see DESIGN.md, "Observability"),
-	// attributed with the boundary size at pass start and the gain-cache
-	// entries rewritten during the pass. nil disables all recording.
+	// attributed with the boundary size at pass start, the gain-cache
+	// entries rewritten during the pass, and the boundary vertices the
+	// greedy pass evaluated or skipped as idle. nil disables all recording.
 	Trace *trace.Rank
 }
 
@@ -99,15 +96,34 @@ type Refiner struct {
 
 	// The connectivity-row cache: v's gain rows (foreign subdomain, summed
 	// edge weight) in first-occurrence adjacency order, stored at offsets
-	// Xadj[v]..Xadj[v]+rowLen[v] so capacity never runs out. rowLen[v] < 0
-	// marks the entry stale; apply invalidates the moved vertex and all of
-	// its neighbors (any of their rows gain/lose the mover's edge weight),
-	// so a clean entry is always exactly what a fresh adjacency scan would
-	// re-derive — including the iteration order the tie-breaks depend on.
+	// Xadj[v]..Xadj[v]+rowLen[v] so capacity never runs out. setup seeds
+	// every entry clean; rowLen[v] < 0 marks an entry stale, and apply
+	// invalidates the moved vertex and all of its neighbors (any of their
+	// rows gain/lose the mover's edge weight), so a clean entry is always
+	// exactly what a fresh adjacency scan would re-derive — including the
+	// iteration order the tie-breaks depend on.
 	rowPart []int32
 	rowWgt  []int64
 	rowLen  []int32
+
+	// The refinement state, one byte per vertex (stInterior, stEvaluate or
+	// stIdle). greedyPass reads only st[v] to skip a vertex, so a skipped
+	// vertex costs one load from a 1 MB table at n = 1M instead of the
+	// dependent loads of a row-cache gather.
+	st                   []uint8
+	evaluated, idleSkips int64 // greedy-pass visits (trace counters)
 }
+
+// Refinement states. An idle vertex is on the boundary, its cached rows are
+// clean, and every row weight is below id[v]: every gain is negative, so the
+// greedy candidate loop, which rejects gain < 0 before it reads any
+// subdomain weight, cannot move it. Its rows and id change only in apply,
+// which demotes it (and every neighbor of a moved vertex) to stEvaluate.
+const (
+	stInterior uint8 = iota // not on the boundary
+	stEvaluate              // on the boundary; rows stale or some gain >= 0
+	stIdle                  // on the boundary; clean rows, every gain < 0
+)
 
 // NewRefiner creates a refiner for k parts and m constraints.
 func NewRefiner(k, m int, opt Options) *Refiner {
@@ -136,6 +152,7 @@ func (r *Refiner) grow(n, nnz int) {
 		r.bnd = make([]int32, 0, n)
 		r.bndptr = make([]int32, 0, n)
 		r.rowLen = make([]int32, 0, n)
+		r.st = make([]uint8, 0, n)
 	}
 	if cap(r.rowPart) < nnz {
 		r.rowPart = make([]int32, nnz)
@@ -161,16 +178,17 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 	r.bndptr = r.bndptr[:n]
 	r.bnd = r.bnd[:0]
 	r.rowLen = r.rowLen[:n]
-	for i := range r.rowLen {
-		r.rowLen[i] = -1 // rows are re-derived lazily per level
-	}
+	r.st = r.st[:n]
 	for v := 0; v < n; v++ {
 		vecw.Add(r.pwgts[int(part[v])*m:(int(part[v])+1)*m], g.Vwgt[v*m:(v+1)*m])
 	}
-	total := g.TotalVertexWeight()
 	for c := 0; c < m; c++ {
-		r.avg[c] = float64(total[c]) / float64(r.k)
-		lim := vecw.Limit(total[c], r.k, r.opt.Tol)
+		var total int64
+		for s := 0; s < r.k; s++ {
+			total += r.pwgts[s*m+c]
+		}
+		r.avg[c] = float64(total) / float64(r.k)
+		lim := vecw.Limit(total, r.k, r.opt.Tol)
 		for s := 0; s < r.k; s++ {
 			r.limit[s*m+c] = lim
 		}
@@ -181,28 +199,37 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 		a := part[v]
 		var id, ed int64
 		nfr := int32(0)
+		r.rows.Clear()
 		adj, wgt := g.Neighbors(v)
 		for i, u := range adj {
-			if part[u] == a {
+			if b := part[u]; b == a {
 				id += int64(wgt[i])
 			} else {
 				ed += int64(wgt[i])
 				nfr++
+				r.rows.Add(v, b, int64(wgt[i]))
 			}
 		}
 		r.id[v], r.ed[v], r.nfr[v] = id, ed, nfr
+		// The scan that seeds id also yields v's rows: store them clean, so
+		// the first pass finds every row in the cache and skips the
+		// boundary vertices whose gains are all negative already.
+		r.storeRows(g, v)
 		if nfr > 0 {
-			r.bndptr[v] = int32(len(r.bnd))
-			r.bnd = append(r.bnd, v)
+			r.bndAdd(v)
+			if r.allGainsNegative(g, v) {
+				r.st[v] = stIdle
+			}
 		} else {
 			r.bndptr[v] = -1
+			r.st[v] = stInterior
 		}
 		extern += ed
 	}
 	// Every cut edge contributes its weight to both endpoints' external
 	// degree, so the table seed yields the cut for free.
 	r.cut = extern / 2
-	r.updates = 0
+	r.updates, r.evaluated, r.idleSkips = 0, 0, 0
 }
 
 // Cut returns the edge-cut as seeded by setup and maintained incrementally
@@ -230,7 +257,7 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		if r.opt.Stop != nil && r.opt.Stop() {
 			break
 		}
-		updates0 := r.updates
+		updates0, evaluated0, idleSkips0 := r.updates, r.evaluated, r.idleSkips
 		if r.opt.Trace != nil {
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
@@ -246,11 +273,12 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		if r.opt.Trace != nil {
 			r.opt.Trace.End(
 				trace.I64("moves", int64(moves)),
-				trace.I64("gain_cache_updates", r.updates-updates0))
+				trace.I64("gain_cache_updates", r.updates-updates0),
+				trace.I64("evaluated", r.evaluated-evaluated0),
+				trace.I64("idle_skipped", r.idleSkips-idleSkips0))
 		}
 		if check.Enabled {
-			check.GainCache("kwayrefine: after refine pass", g, part,
-				r.id, r.ed, r.nfr, r.bnd, r.bndptr)
+			r.checkCaches("kwayrefine: after refine pass", g, part)
 		}
 		if moves == 0 {
 			break
@@ -271,8 +299,7 @@ func (r *Refiner) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		moves := r.balancePass(g, part, rand)
 		total += moves
 		if check.Enabled {
-			check.GainCache("kwayrefine: after balance pass", g, part,
-				r.id, r.ed, r.nfr, r.bnd, r.bndptr)
+			r.checkCaches("kwayrefine: after balance pass", g, part)
 		}
 		if moves == 0 {
 			break
@@ -300,37 +327,37 @@ func (r *Refiner) imbalanced() bool {
 // greedyPass visits vertices in random order and applies the best
 // cut-reducing (or cut-neutral, balance-improving) legal move for each
 // boundary vertex. The permutation always covers all n vertices — the RNG
-// stream is part of the determinism contract — but the boundary-driven path
-// skips interior vertices with one O(1) boundary-set lookup where the
-// full-scan reference pays O(degree) to rediscover that they are interior.
+// stream is part of the determinism contract — but interior and idle
+// vertices are skipped on their one-byte state alone, and a vertex whose
+// every gain turns out negative is marked idle for the passes that follow.
 // Returns the number of moves.
 func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	rand.Perm(r.order)
 	m := r.m
 	moves := 0
 	for _, v := range r.order {
-		a := part[v]
-		var id int64
-		if r.opt.FullScan {
-			var boundary bool
-			id, boundary = r.gatherScan(g, part, v)
-			if !boundary {
-				continue
-			}
-		} else {
-			if r.bndptr[v] < 0 {
-				continue // interior vertex
-			}
-			r.gatherRows(g, part, v)
-			id = r.id[v]
+		switch r.st[v] {
+		case stInterior:
+			continue
+		case stIdle:
+			r.idleSkips++
+			continue
 		}
+		r.evaluated++
+		r.gatherRows(g, part, v)
+		a, id := part[v], r.id[v]
 		vw := g.VertexWeight(v)
 		bestB := int32(-1)
 		var bestGain int64
 		bestBal := 0.0
+		idle := true
 		for _, b := range r.rows.Touched() {
 			gain := r.rows.Weight(b) - id
-			if gain < 0 || (bestB >= 0 && gain < bestGain) {
+			if gain < 0 {
+				continue
+			}
+			idle = false
+			if bestB >= 0 && gain < bestGain {
 				continue
 			}
 			if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
@@ -344,9 +371,11 @@ func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 				bestB, bestGain, bestBal = b, gain, bal
 			}
 		}
-		if bestB >= 0 && bestB != a {
+		if bestB >= 0 {
 			r.apply(g, part, v, a, bestB, vw, bestGain)
 			moves++
+		} else if idle {
+			r.st[v] = stIdle
 		}
 	}
 	return moves
@@ -369,15 +398,10 @@ func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 			continue
 		}
 		vw := g.VertexWeight(v)
-		var id int64
-		if r.opt.FullScan {
-			id, _ = r.gatherScan(g, part, v)
-		} else {
-			// Interior vertices (overweight subdomains may drain them too)
-			// gather an empty row set — O(1) when the cache entry is clean.
-			r.gatherRows(g, part, v)
-			id = r.id[v]
-		}
+		// Interior vertices (overweight subdomains may drain them too)
+		// gather an empty row set — O(1) when the cache entry is clean.
+		r.gatherRows(g, part, v)
+		id := r.id[v]
 		bestB := int32(-1)
 		var bestGain int64
 		bestBal := 0.0
@@ -428,9 +452,9 @@ func (r *Refiner) tryCandidate(a, b int32, vw []int32, gain int64, bestB *int32,
 // gatherRows loads v's gain rows into r.rows: from the connectivity-row
 // cache when the entry is clean (O(rows), typically a handful of entries),
 // else by scanning the adjacency list and refreshing the cache (O(degree)).
-// The internal degree is not recomputed either way — boundary-driven
-// callers read the cached r.id[v], which apply keeps equal to what a scan
-// would yield (mcdebug validates the equality after every pass).
+// The internal degree is not recomputed either way — callers read the
+// cached r.id[v], which apply keeps equal to what a scan would yield
+// (mcdebug validates the equality after every pass).
 func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
 	r.rows.Clear()
 	base := g.Xadj[v]
@@ -447,38 +471,40 @@ func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
 			r.rows.Add(v, b, int64(wgt[i]))
 		}
 	}
+	r.updates += int64(r.storeRows(g, v))
+}
+
+// storeRows copies the rows gathered in r.rows into v's cache entry, marks
+// it clean, and returns the number of rows.
+func (r *Refiner) storeRows(g *graph.Graph, v int32) int {
+	base := g.Xadj[v]
 	touched := r.rows.Touched()
 	for i, b := range touched {
 		r.rowPart[base+int32(i)] = b
 		r.rowWgt[base+int32(i)] = r.rows.Weight(b)
 	}
 	r.rowLen[v] = int32(len(touched))
-	r.updates += int64(len(touched))
+	return len(touched)
 }
 
-// gatherScan is the full-scan reference gather: rows plus a from-scratch
-// internal degree, with boundary-ness decided by the scan rather than the
-// boundary set. Exactly the pre-boundary implementation's per-vertex work.
-func (r *Refiner) gatherScan(g *graph.Graph, part []int32, v int32) (id int64, boundary bool) {
-	r.rows.Clear()
-	a := part[v]
-	adj, wgt := g.Neighbors(v)
-	for i, u := range adj {
-		if b := part[u]; b != a {
-			r.rows.Add(v, b, int64(wgt[i]))
-		} else {
-			id += int64(wgt[i])
+// allGainsNegative reports whether every clean cached row of v weighs less
+// than id[v]: the idle condition.
+func (r *Refiner) allGainsNegative(g *graph.Graph, v int32) bool {
+	base := g.Xadj[v]
+	for _, w := range r.rowWgt[base : base+r.rowLen[v]] {
+		if w >= r.id[v] {
+			return false
 		}
 	}
-	return id, len(r.rows.Touched()) > 0
+	return true
 }
 
 // apply commits the move of v (weight vw, cut reduction gain) from a to b
 // and repairs the gain cache: v's own id/ed/nfr are rebuilt from its
 // adjacency, each neighbor's entry is adjusted by the edge it shares with v,
 // and boundary membership is updated where a foreign-neighbor count crossed
-// zero. O(degree(v)) total — the incremental update that makes
-// boundary-driven passes sound.
+// zero. Every vertex whose rows go stale also leaves stIdle. O(degree(v))
+// total — the incremental update that makes boundary-driven passes sound.
 func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32, gain int64) {
 	m := r.m
 	vecw.Move(r.pwgts[int(a)*m:(int(a)+1)*m], r.pwgts[int(b)*m:(int(b)+1)*m], vw)
@@ -491,8 +517,11 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 	for i, u := range adj {
 		w := int64(wgt[i])
 		// Every neighbor's rows shift weight from the a-row to the b-row,
-		// so all of them (and v itself, below) go stale.
+		// so all of them (and v itself, below) go stale. A neighbor of v is
+		// on the boundary after the move unless the case-b branch removes
+		// it, which resets its state to stInterior.
 		r.rowLen[u] = -1
+		r.st[u] = stEvaluate
 		switch part[u] {
 		case b:
 			// v was foreign to u (a != b), now internal.
@@ -524,6 +553,8 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 	if nfrv > 0 {
 		if r.bndptr[v] < 0 {
 			r.bndAdd(v)
+		} else {
+			r.st[v] = stEvaluate
 		}
 	} else if r.bndptr[v] >= 0 {
 		r.bndRemove(v)
@@ -534,6 +565,7 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 func (r *Refiner) bndAdd(v int32) {
 	r.bndptr[v] = int32(len(r.bnd))
 	r.bnd = append(r.bnd, v)
+	r.st[v] = stEvaluate
 }
 
 func (r *Refiner) bndRemove(v int32) {
@@ -543,6 +575,37 @@ func (r *Refiner) bndRemove(v int32) {
 	r.bndptr[last] = i
 	r.bnd = r.bnd[:len(r.bnd)-1]
 	r.bndptr[v] = -1
+	r.st[v] = stInterior
+}
+
+// checkCaches is the mcdebug after-pass check: the gain cache against a
+// scratch re-derivation, then the refinement state against the caches.
+func (r *Refiner) checkCaches(where string, g *graph.Graph, part []int32) {
+	check.GainCache(where, g, part, r.id, r.ed, r.nfr, r.bnd, r.bndptr)
+	if err := r.verifyState(g); err != nil {
+		panic("mcdebug: " + where + ": " + err.Error())
+	}
+}
+
+// verifyState checks the refinement-state invariants without allocating:
+// stInterior exactly for vertices outside the boundary set, and every idle
+// vertex's cached rows clean with each row weight below its internal degree.
+func (r *Refiner) verifyState(g *graph.Graph) error {
+	for v := range r.st {
+		if interior := r.st[v] == stInterior; interior != (r.bndptr[v] < 0) {
+			return fmt.Errorf("kwayrefine: vertex %d: state %d but bndptr %d", v, r.st[v], r.bndptr[v])
+		}
+		if r.st[v] != stIdle {
+			continue
+		}
+		if r.rowLen[v] < 0 {
+			return fmt.Errorf("kwayrefine: idle vertex %d has stale rows", v)
+		}
+		if !r.allGainsNegative(g, int32(v)) {
+			return fmt.Errorf("kwayrefine: idle vertex %d has a row weighing at least its id %d", v, r.id[v])
+		}
+	}
+	return nil
 }
 
 // balanceDelta returns the change in Σ_c (load/avg)² over subdomains a and

@@ -3,6 +3,7 @@ package partition_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -104,6 +105,37 @@ func TestSerialTraceShape(t *testing.T) {
 	}
 	if spans["refine.pass"] < spans["refine.level"] {
 		t.Errorf("%d refine.pass spans for %d refine.level spans", spans["refine.pass"], spans["refine.level"])
+	}
+	// Every refine.pass span carries the boundary refiner's per-pass
+	// counters, and across the run some boundary vertices are skipped as
+	// idle: the greedy passes after the first find most of the boundary
+	// with only negative gains.
+	for _, key := range []string{"boundary_n", "gain_cache_updates", "evaluated", "idle_skipped"} {
+		if got := sum.SpanAttrs[0]["refine.pass"][key]; got != spans["refine.pass"] {
+			t.Errorf("%d of %d refine.pass spans carry %q", got, spans["refine.pass"], key)
+		}
+	}
+	var events struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var evaluated, idle float64
+	for _, e := range events.TraceEvents {
+		if e.Name == "refine.pass" {
+			ev, _ := e.Args["evaluated"].(float64)
+			is, _ := e.Args["idle_skipped"].(float64)
+			evaluated += ev
+			idle += is
+		}
+	}
+	if evaluated == 0 || idle == 0 {
+		t.Errorf("refine.pass spans sum to %v evaluated and %v idle-skipped boundary visits, want both > 0",
+			evaluated, idle)
 	}
 	ph := tr.PhaseSeconds()
 	for _, name := range []string{"coarsen", "init", "refine"} {
