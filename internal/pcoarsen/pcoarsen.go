@@ -28,6 +28,7 @@
 package pcoarsen
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/pgraph"
@@ -306,6 +307,35 @@ func jag(scratch []int64, a, b []int32) float64 {
 // the coarse graph and the owned-fine-vertex → coarse-global-id map.
 func Contract(dg *pgraph.DGraph, match []int32) (*pgraph.DGraph, []int32) {
 	c := dg.Comm
+	m := dg.Ncon
+	cvtxdist, cmap, win, ein := route(dg, match)
+
+	// 5. Assemble the owned share of the coarse graph.
+	cfirst := cvtxdist[c.Rank()]
+	cn := int(cvtxdist[c.Rank()+1] - cfirst)
+	cvwgt := make([]int32, cn*m)
+	for _, buf := range win {
+		for i := 0; i+m+1 <= len(buf); i += m + 1 {
+			lv := int(buf[i] - cfirst)
+			for j := 0; j < m; j++ {
+				cvwgt[lv*m+j] += buf[i+1+j]
+			}
+		}
+	}
+	cxadj, cadjg, cadjw, nrec := mergeEdges(ein, cfirst, cn)
+	c.Work(nrec)
+
+	coarse := pgraph.NewFromGlobalCSR(c, m, cvtxdist, cxadj, cadjg, cadjw, cvwgt)
+	return coarse, cmap
+}
+
+// route numbers the coarse vertices and sends every owned fine vertex's
+// weight record and coarse edge records to the owner of its coarse vertex
+// (steps 1-4 of Contract). It returns the coarse vertex distribution, the
+// owned-fine-vertex → coarse-global-id map, and the received weight and
+// edge records. Collective.
+func route(dg *pgraph.DGraph, match []int32) (cvtxdist, cmap []int32, win, ein [][]int32) {
+	c := dg.Comm
 	p := c.Size()
 	first := dg.First()
 	nlocal := dg.NLocal()
@@ -322,13 +352,13 @@ func Contract(dg *pgraph.DGraph, match []int32) (*pgraph.DGraph, []int32) {
 		}
 	}
 	counts := c.AllgatherI64(nrep)
-	cvtxdist := make([]int32, p+1)
+	cvtxdist = make([]int32, p+1)
 	for r := 0; r < p; r++ {
 		cvtxdist[r+1] = cvtxdist[r] + int32(counts[r])
 	}
 	cfirst := cvtxdist[c.Rank()]
 
-	cmap := make([]int32, nlocal)
+	cmap = make([]int32, nlocal)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -364,8 +394,21 @@ func Contract(dg *pgraph.DGraph, match []int32) (*pgraph.DGraph, []int32) {
 	// 4. Route vertex-weight and edge records to coarse owners.
 	//    Weight records: m+1 int32s (coarse gid, weights...).
 	//    Edge records: 3 int32s (coarse src gid, coarse dst gid, weight).
+	//    A counting pass sizes each destination's buffers up front (edge
+	//    buffers by degree, an upper bound that only collapsed edges miss).
+	wlen := make([]int, p)
+	elen := make([]int, p)
+	for v := 0; v < nlocal; v++ {
+		r := pgraph.OwnerIn(cvtxdist, cmap[v])
+		wlen[r] += m + 1
+		elen[r] += 3 * dg.Degree(v)
+	}
 	wbuf := make([][]int32, p)
 	ebuf := make([][]int32, p)
+	for r := 0; r < p; r++ {
+		wbuf[r] = make([]int32, 0, wlen[r])
+		ebuf[r] = make([]int32, 0, elen[r])
+	}
 	work := 0
 	for v := 0; v < nlocal; v++ {
 		cv := cmap[v]
@@ -389,59 +432,66 @@ func Contract(dg *pgraph.DGraph, match []int32) (*pgraph.DGraph, []int32) {
 		}
 	}
 	c.Work(work)
-	win := c.AlltoallvI32(wbuf)
-	ein := c.AlltoallvI32(ebuf)
+	win = c.AlltoallvI32(wbuf)
+	ein = c.AlltoallvI32(ebuf)
+	return cvtxdist, cmap, win, ein
+}
 
-	// 5. Assemble the owned share of the coarse graph.
-	cn := int(cvtxdist[c.Rank()+1] - cfirst)
-	cvwgt := make([]int32, cn*m)
-	for _, buf := range win {
-		for i := 0; i+m+1 <= len(buf); i += m + 1 {
-			lv := int(buf[i] - cfirst)
-			for j := 0; j < m; j++ {
-				cvwgt[lv*m+j] += buf[i+1+j]
-			}
-		}
-	}
-	type edge struct {
-		src, dst int32
-		w        int32
-	}
-	var edges []edge
+// mergeEdges assembles the owned coarse vertices' CSR from the received
+// edge records (coarse src gid, coarse dst gid, weight): the adjacency of
+// each vertex sorted by destination gid, with duplicate (src, dst) records
+// merged by summing their weights. The records are counting-sorted into
+// one bucket per owned source, each bucket is sorted on packed dst<<32|w
+// keys and merged in place, so the work is linear in the record count
+// apart from the per-bucket sorts. Summation makes the order of equal
+// (src, dst) records irrelevant, so the result equals a global (src, dst)
+// sort followed by a merge. nrec is the pre-merge record count.
+func mergeEdges(ein [][]int32, cfirst int32, cn int) (cxadj, cadjg, cadjw []int32, nrec int) {
+	cxadj = make([]int32, cn+1)
 	for _, buf := range ein {
 		for i := 0; i+3 <= len(buf); i += 3 {
-			edges = append(edges, edge{src: buf[i] - cfirst, dst: buf[i+1], w: buf[i+2]})
+			cxadj[buf[i]-cfirst+1]++
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].src != edges[j].src {
-			return edges[i].src < edges[j].src
-		}
-		return edges[i].dst < edges[j].dst
-	})
-	merged := edges[:0]
-	for _, e := range edges {
-		if k := len(merged); k > 0 && merged[k-1].src == e.src && merged[k-1].dst == e.dst {
-			merged[k-1].w += e.w
-		} else {
-			merged = append(merged, e)
-		}
-	}
-	cxadj := make([]int32, cn+1)
-	cadjg := make([]int32, len(merged))
-	cadjw := make([]int32, len(merged))
-	for i, e := range merged {
-		cxadj[e.src+1]++
-		cadjg[i] = e.dst
-		cadjw[i] = e.w
 	}
 	for v := 0; v < cn; v++ {
 		cxadj[v+1] += cxadj[v]
 	}
-	c.Work(len(edges))
-
-	coarse := pgraph.NewFromGlobalCSR(c, m, cvtxdist, cxadj, cadjg, cadjw, cvwgt)
-	return coarse, cmap
+	nrec = int(cxadj[cn])
+	keys := make([]uint64, nrec)
+	fill := make([]int32, cn)
+	copy(fill, cxadj[:cn])
+	for _, buf := range ein {
+		for i := 0; i+3 <= len(buf); i += 3 {
+			src := buf[i] - cfirst
+			keys[fill[src]] = uint64(uint32(buf[i+1]))<<32 | uint64(uint32(buf[i+2]))
+			fill[src]++
+		}
+	}
+	// Sort and merge every bucket, compacting the keys in place; cxadj is
+	// rewritten to the merged offsets as the buckets are consumed.
+	out := 0
+	for v := 0; v < cn; v++ {
+		b := keys[cxadj[v]:cxadj[v+1]]
+		slices.Sort(b)
+		cxadj[v] = int32(out)
+		for i := 0; i < len(b); {
+			dst := b[i] >> 32
+			w := uint32(b[i])
+			for i++; i < len(b) && b[i]>>32 == dst; i++ {
+				w += uint32(b[i])
+			}
+			keys[out] = dst<<32 | uint64(w)
+			out++
+		}
+	}
+	cxadj[cn] = int32(out)
+	cadjg = make([]int32, out)
+	cadjw = make([]int32, out)
+	for i, key := range keys[:out] {
+		cadjg[i] = int32(key >> 32)
+		cadjw[i] = int32(uint32(key))
+	}
+	return cxadj, cadjg, cadjw, nrec
 }
 
 // BuildHierarchy coarsens the distributed graph until its global size is

@@ -1,6 +1,8 @@
 package pcoarsen
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -169,5 +171,97 @@ func TestSlowCoarsening(t *testing.T) {
 	t.Logf("single-round shrink: p=1 %.3f, p=8 %.3f", r1, r8)
 	if r8 < r1-0.05 {
 		t.Errorf("p=8 coarsened faster (%.3f) than p=1 (%.3f); expected slow coarsening", r8, r1)
+	}
+}
+
+// contractSortRef is the original sort-based edge assembly, kept as the
+// oracle for mergeEdges: collect every received record, sort them all by
+// (src, dst), merge equal pairs by summing, and build the CSR.
+func contractSortRef(ein [][]int32, cfirst int32, cn int) (cxadj, cadjg, cadjw []int32) {
+	type edge struct {
+		src, dst int32
+		w        int32
+	}
+	var edges []edge
+	for _, buf := range ein {
+		for i := 0; i+3 <= len(buf); i += 3 {
+			edges = append(edges, edge{src: buf[i] - cfirst, dst: buf[i+1], w: buf[i+2]})
+		}
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].src != edges[j].src {
+			return edges[i].src < edges[j].src
+		}
+		return edges[i].dst < edges[j].dst
+	})
+	merged := edges[:0]
+	for _, e := range edges {
+		if k := len(merged); k > 0 && merged[k-1].src == e.src && merged[k-1].dst == e.dst {
+			merged[k-1].w += e.w
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	cxadj = make([]int32, cn+1)
+	cadjg = make([]int32, len(merged))
+	cadjw = make([]int32, len(merged))
+	for i, e := range merged {
+		cxadj[e.src+1]++
+		cadjg[i] = e.dst
+		cadjw[i] = e.w
+	}
+	for v := 0; v < cn; v++ {
+		cxadj[v+1] += cxadj[v]
+	}
+	return cxadj, cadjg, cadjw
+}
+
+// TestContractMatchesSortReference pins the bucketed edge merge to the
+// sort-based reference on the records a real contraction routes, on a mesh
+// and on a power-law graph whose hubs give long buckets, and checks that
+// Contract's coarse graph carries exactly the reference adjacency.
+func TestContractMatchesSortReference(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"mesh", testGraph(3)},
+		{"powerlaw", gen.Type1(gen.PowerLaw(3000, 8, 2.2, 11), 2, 7)},
+	}
+	for _, tc := range graphs {
+		for _, p := range []int{1, 2, 3, 4} {
+			mpi.Run(p, mpi.Zero(), func(c *mpi.Comm) {
+				dg := pgraph.Distribute(c, tc.g)
+				match := Match(dg, rng.New(6).Derive(uint64(c.Rank())), Options{BalancedEdge: true})
+				coarse, cmap := Contract(dg, match)
+				cvtxdist, cmap2, _, ein := route(dg, match)
+				cfirst := cvtxdist[c.Rank()]
+				cn := int(cvtxdist[c.Rank()+1] - cfirst)
+
+				wantX, wantG, wantW := contractSortRef(ein, cfirst, cn)
+				gotX, gotG, gotW, nrec := mergeEdges(ein, cfirst, cn)
+				if !slices.Equal(gotX, wantX) || !slices.Equal(gotG, wantG) || !slices.Equal(gotW, wantW) {
+					t.Errorf("%s p=%d rank %d: mergeEdges differs from the sort reference", tc.name, p, c.Rank())
+				}
+				records := 0
+				for _, buf := range ein {
+					records += len(buf) / 3
+				}
+				if nrec != records {
+					t.Errorf("%s p=%d rank %d: nrec = %d, want %d", tc.name, p, c.Rank(), nrec, records)
+				}
+				// Contract's coarse graph, read back in global ids.
+				if !slices.Equal(cmap, cmap2) || !slices.Equal(coarse.Xadj, wantX) || !slices.Equal(coarse.Adjwgt, wantW) {
+					t.Errorf("%s p=%d rank %d: Contract's CSR differs from the reference", tc.name, p, c.Rank())
+				}
+				for i, u := range coarse.Adjncy {
+					if i < len(wantG) && coarse.ToGlobal(u) != wantG[i] {
+						t.Errorf("%s p=%d rank %d: adjacency %d is gid %d, want %d",
+							tc.name, p, c.Rank(), i, coarse.ToGlobal(u), wantG[i])
+						break
+					}
+				}
+			})
+		}
 	}
 }

@@ -33,11 +33,20 @@
 // static "slice" allocation (each rank may move at most extra/p weight into
 // a subdomain — the scheme the paper measured at up to 50% worse edge-cut)
 // and unrestricted commits (no balance protection at all).
+//
+// The up and down sweeps are boundary-driven: a one-byte refinement state
+// per owned vertex records what its last gain gather found (interior, or
+// idle — no cut-improving move), and a vertex keeps that state until a
+// label in its neighbourhood changes. Both sweeps reject gain <= 0 before
+// any weight test, so skipping interior and idle vertices is exact (see
+// DESIGN.md, "Boundary refinement contract").
 package prefine
 
 import (
+	"fmt"
 	"sort"
 
+	"repro/internal/check"
 	"repro/internal/gaincache"
 	"repro/internal/pgraph"
 	"repro/internal/rng"
@@ -106,9 +115,10 @@ type Options struct {
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per pass on
 	// this rank's track, attributed with the pass's global moves, global
-	// cut, and this rank's reservation conflicts (tentative moves rolled
-	// back by the reservation protocol). Purely local recording — no
-	// extra collectives — so traced and untraced runs have identical
+	// cut, and this rank's boundary vertices, up/down-sweep gathers
+	// (evaluated), idle skips, and reservation conflicts (tentative moves
+	// rolled back by the reservation protocol). Purely local recording —
+	// no extra collectives — so traced and untraced runs have identical
 	// simulated times. nil disables all recording.
 	Trace *trace.Rank
 }
@@ -122,6 +132,15 @@ type Refiner struct {
 
 	part      []int32 // owned vertices' labels
 	ghostPart []int32
+	ghostNext []int32 // receive buffer of the ghost exchange
+
+	// The refinement state, one byte per owned vertex (stEvaluate,
+	// stInterior or stIdle), and the ghost → owned-neighbour reverse CSR
+	// (ghostXadj indexed by ghost slot) that demotes the owned neighbours
+	// of every ghost whose label an exchange changed.
+	st        []uint8
+	ghostXadj []int32
+	ghostAdj  []int32
 
 	pwgts []int64 // replicated k*m subdomain weights
 	limit []int64
@@ -144,7 +163,23 @@ type Refiner struct {
 	// bndSeen counts this rank's boundary vertices seen during the pass's
 	// up-sweep (diagnostic; reported as boundary_n on trace spans).
 	bndSeen int64
+	// evaluated and idleSkipped count this rank's up/down-sweep gain
+	// gathers and idle-vertex skips (diagnostic; reported on trace spans).
+	evaluated, idleSkipped int64
 }
+
+// Refinement states. The zero value, stEvaluate, means "unknown": the next
+// up/down visit gathers the vertex's gains. stInterior means the last
+// gather found every neighbour in part[v]; stIdle means the last gather
+// found a boundary vertex whose every foreign row weighs at most its
+// internal degree, so every gain is <= 0. Both are functions of
+// the labels of v and its neighbours alone, so they stay exact until one
+// of those labels changes, which demotes v back to stEvaluate.
+const (
+	stEvaluate uint8 = iota
+	stInterior
+	stIdle
+)
 
 // proposed move bookkeeping sizes: inflow and net deltas are k*m each.
 
@@ -162,12 +197,15 @@ func NewRefiner(dg *pgraph.DGraph, part []int32, k int, opt Options) *Refiner {
 		dg: dg, k: k, m: m, opt: opt,
 		part:      part,
 		ghostPart: make([]int32, dg.NGhost()),
+		ghostNext: make([]int32, dg.NGhost()),
+		st:        make([]uint8, dg.NLocal()),
 		pwgts:     make([]int64, k*m),
 		limit:     make([]int64, k*m),
 		avg:       make([]float64, m),
 		rows:      gaincache.NewRows(k),
 		order:     make([]int32, dg.NLocal()),
 	}
+	r.buildGhostAdj()
 	for v := 0; v < dg.NLocal(); v++ {
 		vecw.Add(r.pwgts[int(part[v])*m:(int(part[v])+1)*m], dg.Vwgt[v*m:(v+1)*m])
 	}
@@ -182,6 +220,59 @@ func NewRefiner(dg *pgraph.DGraph, part []int32, k int, opt Options) *Refiner {
 	}
 	dg.ExchangeGhostsI32(part, r.ghostPart)
 	return r
+}
+
+// buildGhostAdj builds the ghost → owned-neighbour reverse CSR.
+func (r *Refiner) buildGhostAdj() {
+	dg := r.dg
+	nlocal := dg.NLocal()
+	r.ghostXadj = make([]int32, dg.NGhost()+1)
+	for _, u := range dg.Adjncy {
+		if int(u) >= nlocal {
+			r.ghostXadj[int(u)-nlocal+1]++
+		}
+	}
+	for s := 0; s < dg.NGhost(); s++ {
+		r.ghostXadj[s+1] += r.ghostXadj[s]
+	}
+	r.ghostAdj = make([]int32, r.ghostXadj[dg.NGhost()])
+	fill := append([]int32(nil), r.ghostXadj[:dg.NGhost()]...)
+	for v := 0; v < nlocal; v++ {
+		for _, u := range dg.Adjncy[dg.Xadj[v]:dg.Xadj[v+1]] {
+			if s := int(u) - nlocal; s >= 0 {
+				r.ghostAdj[fill[s]] = int32(v)
+				fill[s]++
+			}
+		}
+	}
+}
+
+// exchangeGhosts refreshes the ghost labels and demotes to stEvaluate the
+// owned neighbours of every ghost whose label changed. Collective.
+func (r *Refiner) exchangeGhosts() {
+	r.dg.ExchangeGhostsI32(r.part, r.ghostNext)
+	for s, b := range r.ghostNext {
+		if b == r.ghostPart[s] {
+			continue
+		}
+		r.ghostPart[s] = b
+		for _, v := range r.ghostAdj[r.ghostXadj[s]:r.ghostXadj[s+1]] {
+			r.st[v] = stEvaluate
+		}
+	}
+}
+
+// demote returns owned vertex v and its owned neighbours to stEvaluate;
+// called whenever v's label changes.
+func (r *Refiner) demote(v int32) {
+	dg := r.dg
+	nlocal := dg.NLocal()
+	r.st[v] = stEvaluate
+	for _, u := range dg.Adjncy[dg.Xadj[v]:dg.Xadj[v+1]] {
+		if int(u) < nlocal {
+			r.st[u] = stEvaluate
+		}
+	}
 }
 
 // Part returns the rank's current labels (aliases the slice passed in).
@@ -227,7 +318,7 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 		var conflicts0 int64
 		if r.opt.Trace != nil {
 			conflicts0 = r.conflicts
-			r.bndSeen = 0
+			r.bndSeen, r.evaluated, r.idleSkipped = 0, 0, 0
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
 				trace.I64("local_n", int64(r.dg.NLocal())))
@@ -265,6 +356,8 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 				trace.I64("moves", moves),
 				trace.I64("cut", cut),
 				trace.I64("boundary_n", r.bndSeen),
+				trace.I64("evaluated", r.evaluated),
+				trace.I64("idle_skipped", r.idleSkipped),
 				trace.I64("conflicts", r.conflicts-conflicts0))
 		}
 		if moves == 0 {
@@ -273,9 +366,7 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 		if cut >= prevCut && !r.imbalanced() {
 			if startBalanced && cut > prevCut {
 				// Net loss on a balanced partitioning: revert the pass.
-				copy(r.part, snapPart)
-				copy(r.pwgts, snapPwgts)
-				r.dg.ExchangeGhostsI32(r.part, r.ghostPart)
+				r.rollback(snapPart, snapPwgts)
 				break
 			}
 			stale++
@@ -292,14 +383,28 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 	return totalMoves
 }
 
+// rollback restores a pass-start snapshot of the labels and subdomain
+// weights. Every refinement state is cleared: the restored labels may
+// differ anywhere. Collective (ghost exchange).
+func (r *Refiner) rollback(snapPart []int32, snapPwgts []int64) {
+	copy(r.part, snapPart)
+	copy(r.pwgts, snapPwgts)
+	clear(r.st)
+	r.exchangeGhosts()
+}
+
 // globalCut returns the current edge-cut (collective). Each rank counts its
 // owned endpoints' cut edge weight; every cut edge is counted exactly twice
-// across the world (once per endpoint, regardless of ownership).
+// across the world (once per endpoint, regardless of ownership). Known
+// interior vertices are skipped; the Work charge stays the full scan's.
 func (r *Refiner) globalCut() int64 {
 	dg := r.dg
 	nlocal := dg.NLocal()
 	var local int64
 	for v := 0; v < nlocal; v++ {
+		if r.st[v] == stInterior {
+			continue
+		}
 		a := r.part[v]
 		start, end := dg.Xadj[v], dg.Xadj[v+1]
 		for e := start; e < end; e++ {
@@ -409,6 +514,19 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 	work := 0
 	for _, v := range verts {
 		a := r.part[v]
+		if kind != phaseBalance && r.st[v] != stEvaluate {
+			// Interior and idle vertices have no gain > 0, which the up
+			// and down sweeps require: skip them on their state alone,
+			// charging the gather they replace.
+			work += dg.Degree(int(v))
+			if r.st[v] == stIdle {
+				r.idleSkipped++
+				if kind == phaseUp {
+					r.bndSeen++
+				}
+			}
+			continue
+		}
 		if kind == phaseBalance {
 			// Only drain subdomains still over limit, within this rank's
 			// fair-share quota for at least one violated constraint.
@@ -428,13 +546,18 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		if boundary && kind == phaseUp {
 			r.bndSeen++
 		}
-		if !boundary && kind != phaseBalance {
-			continue
+		if kind != phaseBalance {
+			r.evaluated++
+			if !boundary {
+				r.st[v] = stInterior
+				continue
+			}
 		}
 		vw := dg.LocalVertexWeight(v)
 		bestB := int32(-1)
 		var bestGain int64
 		bestBal := 0.0
+		idle := true
 		for _, b := range r.rows.Touched() {
 			gain := r.rows.Weight(b) - id
 			if kind != phaseBalance && gain <= 0 {
@@ -445,6 +568,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 				// (Type 2). The balance phase owns balance-improving moves.
 				continue
 			}
+			idle = false
 			if !r.acceptable(kind, a, b, vw, gain, ldelta, slice) {
 				continue
 			}
@@ -472,6 +596,9 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 			}
 		}
 		if bestB < 0 {
+			if idle && kind != phaseBalance {
+				r.st[v] = stIdle
+			}
 			continue
 		}
 		// Apply tentatively: within this rank subsequent gain computations
@@ -483,6 +610,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		r.propTo = append(r.propTo, bestB)
 		r.propGain = append(r.propGain, bestGain)
 		r.part[v] = bestB
+		r.demote(v)
 		vecw.Sub(ldelta[int(a)*m:(int(a)+1)*m], vw)
 		vecw.Add(ldelta[int(bestB)*m:(int(bestB)+1)*m], vw)
 		vecw.Add(inflow[int(bestB)*m:(int(bestB)+1)*m], vw)
@@ -526,6 +654,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		vw := dg.LocalVertexWeight(v)
 		if disallow[i] {
 			r.part[v] = a
+			r.demote(v)
 			r.conflicts++
 			continue
 		}
@@ -537,7 +666,12 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 	for i := range r.pwgts {
 		r.pwgts[i] += committed[i]
 	}
-	dg.ExchangeGhostsI32(r.part, r.ghostPart)
+	r.exchangeGhosts()
+	if check.Enabled {
+		if err := r.verifyState(); err != nil {
+			panic("mcdebug: prefine: after round: " + err.Error())
+		}
+	}
 
 	mv := []int64{moves}
 	dg.Comm.AllreduceSumI64(mv)
@@ -717,6 +851,34 @@ func (r *Refiner) gatherExternal(v int32) (id int64, boundary bool) {
 		r.rows.Add(v, b, int64(dg.Adjwgt[e]))
 	}
 	return id, len(r.rows.Touched()) > 0
+}
+
+// verifyState checks the refinement-state invariants without allocating
+// (the mcdebug after-round check): a stInterior vertex has every local and
+// ghost neighbour in its own subdomain, and a stIdle vertex is on the
+// boundary with no foreign row weighing more than its internal degree.
+// stEvaluate claims nothing. Clobbers the rows scratch.
+func (r *Refiner) verifyState() error {
+	for v := int32(0); int(v) < len(r.st); v++ {
+		switch r.st[v] {
+		case stInterior:
+			if _, boundary := r.gatherExternal(v); boundary {
+				return fmt.Errorf("prefine: interior vertex %d has a foreign neighbour", v)
+			}
+		case stIdle:
+			id, boundary := r.gatherExternal(v)
+			if !boundary {
+				return fmt.Errorf("prefine: idle vertex %d is not on the boundary", v)
+			}
+			for _, b := range r.rows.Touched() {
+				if r.rows.Weight(b) > id {
+					return fmt.Errorf("prefine: idle vertex %d has row weight %d toward %d above its id %d",
+						v, r.rows.Weight(b), b, id)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // balanceDelta mirrors the serial refiner: change in Σ_c (load/avg)² over

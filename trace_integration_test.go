@@ -115,27 +115,10 @@ func TestSerialTraceShape(t *testing.T) {
 			t.Errorf("%d of %d refine.pass spans carry %q", got, spans["refine.pass"], key)
 		}
 	}
-	var events struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	var evaluated, idle float64
-	for _, e := range events.TraceEvents {
-		if e.Name == "refine.pass" {
-			ev, _ := e.Args["evaluated"].(float64)
-			is, _ := e.Args["idle_skipped"].(float64)
-			evaluated += ev
-			idle += is
-		}
-	}
-	if evaluated == 0 || idle == 0 {
+	evaluated, idle := refinePassVisits(t, buf.Bytes())
+	if evaluated[0] == 0 || idle[0] == 0 {
 		t.Errorf("refine.pass spans sum to %v evaluated and %v idle-skipped boundary visits, want both > 0",
-			evaluated, idle)
+			evaluated[0], idle[0])
 	}
 	ph := tr.PhaseSeconds()
 	for _, name := range []string{"coarsen", "init", "refine"} {
@@ -145,9 +128,10 @@ func TestSerialTraceShape(t *testing.T) {
 	}
 }
 
-// TestParallelTraceShape is the ISSUE acceptance criterion: a traced p=4
-// run emits valid trace-event JSON with a span for every coarsening level
-// and refinement level on every rank, plus per-collective comm counters.
+// TestParallelTraceShape: a traced p=4 run emits valid trace-event JSON
+// with a span for every coarsening level and refinement level on every
+// rank, refinement-pass counters on every pass span, plus per-collective
+// comm counters.
 func TestParallelTraceShape(t *testing.T) {
 	g := traceGraph()
 	const k, p = 8, 4
@@ -187,6 +171,11 @@ func TestParallelTraceShape(t *testing.T) {
 		if spans["refine.pass"] == 0 {
 			t.Errorf("rank %d: no refine.pass spans", tid)
 		}
+		for _, key := range []string{"boundary_n", "evaluated", "idle_skipped"} {
+			if got := sum.SpanAttrs[tid]["refine.pass"][key]; got != spans["refine.pass"] {
+				t.Errorf("rank %d: %d of %d refine.pass spans carry %q", tid, got, spans["refine.pass"], key)
+			}
+		}
 		found := false
 		for name := range sum.Counters[tid] {
 			if strings.HasPrefix(name, "mpi.") {
@@ -198,6 +187,43 @@ func TestParallelTraceShape(t *testing.T) {
 			t.Errorf("rank %d: no mpi.* comm counters: %v", tid, sum.Counters[tid])
 		}
 	}
+	// Every rank's up/down sweeps gather some vertices and skip some idle
+	// ones: after the first sweep most of a rank's boundary has no
+	// cut-improving move.
+	evaluated, idle := refinePassVisits(t, buf.Bytes())
+	for _, tid := range tracks {
+		if evaluated[tid] == 0 || idle[tid] == 0 {
+			t.Errorf("rank %d: refine.pass spans sum to %v evaluated and %v idle-skipped visits, want both > 0",
+				tid, evaluated[tid], idle[tid])
+		}
+	}
+}
+
+// refinePassVisits sums the evaluated and idle_skipped attributes of an
+// exported trace's refine.pass spans per track (tid).
+func refinePassVisits(t *testing.T, data []byte) (evaluated, idle map[int]float64) {
+	t.Helper()
+	var events struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatal(err)
+	}
+	evaluated = make(map[int]float64)
+	idle = make(map[int]float64)
+	for _, e := range events.TraceEvents {
+		if e.Name == "refine.pass" {
+			ev, _ := e.Args["evaluated"].(float64)
+			is, _ := e.Args["idle_skipped"].(float64)
+			evaluated[e.Tid] += ev
+			idle[e.Tid] += is
+		}
+	}
+	return evaluated, idle
 }
 
 // TestTracedAbortIsBalanced: a cancelled traced run must still export a
