@@ -97,8 +97,9 @@ type Options struct {
 	MaxVertexWeight int64
 	// Workers bounds the goroutines running the coarsening kernels
 	// concurrently: matching candidate scans, contraction, and the LP
-	// cluster scheme's per-round scans. 0 or 1 selects the sequential
-	// kernels — byte-for-byte the pre-parallel code path. Any value
+	// cluster scheme's per-round scans. 0 or 1 runs everything on the
+	// calling goroutine: the matching kernel inline on one worker, the
+	// sequential contraction and LP kernels. Any value
 	// produces a bit-identical hierarchy (and therefore identical
 	// partitions and service cache keys); only wall clock changes. See
 	// DESIGN.md, "Parallel coarsening contract".
@@ -129,11 +130,14 @@ type Options struct {
 // coarse CSR) only. The dedup marker is an epoch-stamped arena.Marker: one
 // generation per coarse vertex, no per-level clearing at all.
 type scratch struct {
-	match    []int32      // mate per vertex (the matchInto result)
-	order    []int32      // random visit order
-	marker   arena.Marker // parallel-edge dedup, indexed by coarse vertex
-	slot     []int32      // merged-edge buffer index of a coarse neighbor
-	bufAdj   []int32      // merged coarse edges, fine-edge capacity
+	match  []int32      // mate per vertex (the matchInto result)
+	order  []int32      // random visit order
+	prop   []int32      // proposed mate per visit-order position
+	marker arena.Marker // parallel-edge dedup, indexed by coarse vertex
+	// slot is the merged-edge buffer index of a coarse neighbor during
+	// contraction, and each vertex's visit position during matching.
+	slot     []int32
+	bufAdj   []int32 // merged coarse edges, fine-edge capacity
 	bufWgt   []int32
 	combined []int64 // Ncon-wide tie-break accumulator
 	head     []int32 // cluster-member offsets for many-to-one contraction
@@ -146,6 +150,13 @@ func newScratch(n, ncon int) *scratch {
 		slot:     make([]int32, n),
 		combined: make([]int64, ncon),
 	}
+}
+
+func (s *scratch) propBuf(n int) []int32 {
+	if cap(s.prop) < n {
+		s.prop = make([]int32, n)
+	}
+	return s.prop[:n]
 }
 
 // edgeBuf returns the pooled merged-edge buffers with room for nnz entries.
@@ -186,56 +197,7 @@ func carveEdges(hlv *hier.Level, nnz int) (adjncy, adjwgt []int32) {
 // to its mate (match[v] == v for unmatched vertices), and is an involution:
 // match[match[v]] == v.
 func Match(g *graph.Graph, rand *rng.RNG, opt Options) []int32 {
-	return matchInto(g, rand, opt, newScratch(g.NumVertices(), g.Ncon))
-}
-
-// matchInto is Match writing into s.match (which is also returned). The
-// caller must not retain the result past the scratch's next reuse.
-func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) []int32 {
-	n := g.NumVertices()
-	match := s.match[:n]
-	for i := range match {
-		match[i] = -1
-	}
-	order := s.order[:n]
-	rand.Perm(order)
-
-	combined := s.combined
-	for _, v := range order {
-		if match[v] >= 0 {
-			continue
-		}
-		adj, wgt := g.Neighbors(v)
-		vw := g.VertexWeight(v)
-		best := int32(-1)
-		bestW := int32(-1)
-		bestJag := 0.0
-		for i, u := range adj {
-			if match[u] >= 0 || u == v {
-				continue
-			}
-			if opt.MaxVertexWeight > 0 && !fitsCap(vw, g.VertexWeight(u), opt.MaxVertexWeight) {
-				continue
-			}
-			switch {
-			case wgt[i] > bestW:
-				best, bestW = u, wgt[i]
-				if opt.BalancedEdge {
-					bestJag = combinedJaggedness(combined, vw, g.VertexWeight(u))
-				}
-			case wgt[i] == bestW && opt.BalancedEdge:
-				if j := combinedJaggedness(combined, vw, g.VertexWeight(u)); j < bestJag {
-					best, bestJag = u, j
-				}
-			}
-		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = v
-		} else {
-			match[v] = v
-		}
-	}
+	match, _, _ := matchInto(g, rand, opt, newScratch(g.NumVertices(), g.Ncon), nil)
 	return match
 }
 
@@ -505,7 +467,7 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 	ws := newScratch(g.NumVertices(), g.Ncon)
 	// With Workers >= 2, one worker pool (and its per-worker scratch) also
 	// serves the whole hierarchy; levels below minParallelN drop back to
-	// the sequential kernels, which emit identical bytes.
+	// the calling goroutine, which emits identical bytes.
 	var ps *pscratch
 	if opt.Workers >= 2 {
 		ps = newPscratch(opt.Workers, g.Ncon)
@@ -514,6 +476,20 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 	var lps *lp.Scratch
 	if scheme == SchemeCluster {
 		lps = lp.NewScratch()
+	}
+	// Matching caps coarse vertex weight at ~1/coarsenTo of the heaviest
+	// constraint total so initial partitioning always has room to balance
+	// (METIS's rule of thumb). Contraction conserves every constraint
+	// total, so the cap computed on the finest graph holds at every level.
+	mo := opt
+	if scheme == SchemeMatching && mo.MaxVertexWeight == 0 {
+		var maxTot int64
+		for _, t := range g.TotalVertexWeight() {
+			if t > maxTot {
+				maxTot = t
+			}
+		}
+		mo.MaxVertexWeight = 1 + maxTot*3/int64(2*coarsenTo)
 	}
 	for cur.NumVertices() > coarsenTo {
 		if opt.Stop != nil && opt.Stop() {
@@ -578,39 +554,26 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 				opt.Trace.End()
 			}
 		} else {
-			// Cap coarse vertex weight at ~1/coarsenTo of the heaviest
-			// constraint total so initial partitioning always has room to
-			// balance (METIS's rule of thumb).
-			o := opt
-			if o.MaxVertexWeight == 0 {
-				var maxTot int64
-				for _, t := range cur.TotalVertexWeight() {
-					if t > maxTot {
-						maxTot = t
-					}
-				}
-				o.MaxVertexWeight = 1 + maxTot*3/int64(2*coarsenTo)
-			}
-			var match []int32
+			// Below minParallelN the kernel runs inline on one worker.
+			var mps *pscratch
+			workers := 1
 			if usePar {
-				if opt.Trace != nil {
-					opt.Trace.Begin("coarsen.match",
-						trace.I64("workers", int64(opt.Workers)),
-						trace.I64("n", int64(cur.NumVertices())))
-				}
-				var chunks, rescans int
-				match, chunks, rescans = matchParInto(cur, rand, o, ws, ps)
-				if opt.Trace != nil {
-					opt.Trace.End(
-						trace.I64("chunks", int64(chunks)),
-						trace.I64("rescans", int64(rescans)))
-				}
-			} else {
-				match = matchInto(cur, rand, o, ws)
+				mps, workers = ps, opt.Workers
+			}
+			if opt.Trace != nil {
+				opt.Trace.Begin("coarsen.match",
+					trace.I64("workers", int64(workers)),
+					trace.I64("n", int64(cur.NumVertices())))
+			}
+			match, chunks, rescans := matchInto(cur, rand, mo, ws, mps)
+			if opt.Trace != nil {
+				opt.Trace.End(
+					trace.I64("chunks", int64(chunks)),
+					trace.I64("rescans", int64(rescans)))
 			}
 			if check.Enabled {
 				check.Matching(fmt.Sprintf("coarsen: level %d matching", len(levels)),
-					cur, match, o.MaxVertexWeight)
+					cur, match, mo.MaxVertexWeight)
 			}
 			if usePar {
 				if opt.Trace != nil {

@@ -1,9 +1,11 @@
 // Shared-memory parallel coarsening kernels: propose/commit heavy-edge
-// matching and range-merged contraction. Both produce output bit-identical
-// to the sequential matchInto/contractInto/contractMapInto paths for every
-// worker count — the determinism argument is spelled out in DESIGN.md,
-// "Parallel coarsening contract" — so Options.Workers changes wall clock
-// only, never the hierarchy, the partition, or a service cache key.
+// matching and range-merged contraction. Matching has this one kernel,
+// which runs inline on one worker when no pool is in use; contraction
+// produces output bit-identical to the sequential contractInto and
+// contractMapInto for every worker count. The determinism argument is
+// spelled out in DESIGN.md, "Parallel coarsening contract": Options.Workers
+// changes wall clock only, never the hierarchy, the partition, or a service
+// cache key.
 package coarsen
 
 import (
@@ -15,15 +17,17 @@ import (
 )
 
 const (
-	// minParallelN is the level size below which BuildHierarchy stays on the
+	// minParallelN is the level size below which BuildHierarchy runs the
+	// matching kernel inline on one worker and contracts with the
 	// sequential kernels even when Workers >= 2: the chunk barriers cost
 	// more than the scan. Safe at any value — both paths emit identical
 	// bytes — so this is purely a latency knob.
 	minParallelN = 2048
 	// chunksPerWorker fixes the matching chunk count at workers *
 	// chunksPerWorker. More chunks mean fresher snapshots (fewer commit
-	// rescans) but more barriers; 4 keeps rescans under ~1% of vertices on
-	// the bench meshes.
+	// rescans) but more barriers, and every chunk re-reads the whole
+	// visit-position array. At 4, with 2 workers, about 6% of each mrng2
+	// level's vertices are rescanned; 8 and 16 were no faster there.
 	chunksPerWorker = 4
 	// linearDedupMax is the member-degree-sum bound under which contraction
 	// dedups a coarse vertex's merged adjacency by scanning its (cache-hot,
@@ -56,14 +60,12 @@ func (w *pworker) growDedup(cn int) {
 // sequential scratch.
 type pscratch struct {
 	pool     *par.Pool
-	prop     []int32 // proposed mate per visit-order position
 	rep      []int32 // representative fine vertex per coarse vertex
 	counts   []int32 // workers+1 prefix-sum cells
 	offs     []int32 // workers+1 stage offsets (contraction emission)
 	stageAdj []int32 // shared merged-edge stage, fine-nnz capacity total
 	stageWgt []int32
 	ws       []*pworker
-	lo, hi   int // current propose chunk, read by the hoisted closure
 }
 
 func newPscratch(workers, ncon int) *pscratch {
@@ -94,13 +96,6 @@ func (ps *pscratch) growStage(nnz int) ([]int32, []int32) {
 	return ps.stageAdj[:nnz], ps.stageWgt[:nnz]
 }
 
-func (ps *pscratch) propBuf(n int) []int32 {
-	if cap(ps.prop) < n {
-		ps.prop = make([]int32, n)
-	}
-	return ps.prop[:n]
-}
-
 func (ps *pscratch) repBuf(cn int) []int32 {
 	if cap(ps.rep) < cn {
 		ps.rep = make([]int32, cn)
@@ -108,19 +103,29 @@ func (ps *pscratch) repBuf(cn int) []int32 {
 	return ps.rep[:cn]
 }
 
-// matchParInto computes the same heavy-edge matching as matchInto —
-// identical RNG draws, identical mates — with the candidate scans spread
-// over the pool. The visit order is cut into chunks; workers propose a
-// mate per vertex from a frozen snapshot of the match array, then a
-// sequential in-order commit applies the proposals. A proposal is reusable
-// at commit time exactly when its mate is still unmatched: the selection
-// rule (max edge weight, then minimum combined jaggedness under
-// BalancedEdge, then first in adjacency order) is an argmax over the
-// candidate set, and commits only ever *remove* candidates, so the argmax
-// over the shrunken set either is the proposal itself or requires the
-// rescan the commit loop performs. The returned rescans count is the
-// number of such re-derivations (deterministic, traced).
-func matchParInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch, ps *pscratch) (match []int32, chunks, rescans int) {
+// matchInto computes the heavy-edge matching of Match into s.match (which
+// is also returned; the caller must not retain it past the scratch's next
+// reuse), with the candidate scans spread over ps's pool, or run inline on
+// one worker when ps is nil. The mates are a pure function of (g, opt, the
+// RNG stream): the worker count changes wall clock only.
+//
+// The matching is the SC'98 sequential greedy scan over a random visit
+// order. The order is cut into chunks; workers propose a mate per vertex
+// from a frozen snapshot of the match array, then a sequential in-order
+// commit applies the proposals. A proposal is reusable at commit time
+// exactly when its mate is still unmatched: the selection rule (max edge
+// weight, then minimum combined jaggedness under BalancedEdge, then first
+// in adjacency order) is an argmax over the candidate set, and commits only
+// ever *remove* candidates, so the argmax over the shrunken set either is
+// the proposal itself or requires the rescan the commit loop performs. The
+// returned rescans count is the number of such re-derivations
+// (deterministic, traced).
+//
+// Proposals are evaluated in vertex-id order, not visit order: a proposal
+// depends only on the vertex and the chunk's snapshot, so evaluation order
+// cannot change it, and the id-order sweep turns the adjacency, match and
+// weight reads into forward scans instead of one cache miss per visit.
+func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch, ps *pscratch) (match []int32, chunks, rescans int) {
 	n := g.NumVertices()
 	match = s.match[:n]
 	for i := range match {
@@ -128,29 +133,41 @@ func matchParInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch, ps *ps
 	}
 	order := s.order[:n]
 	rand.Perm(order)
+	// pos inverts the visit order; slot is idle until contraction.
+	pos := s.slot[:n]
+	for idx, v := range order {
+		pos[v] = int32(idx)
+	}
 
-	prop := ps.propBuf(n)
-	workers := ps.pool.Workers()
+	prop := s.propBuf(n)
+	workers := 1
+	if ps != nil {
+		workers = ps.pool.Workers()
+	}
 	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
 	if chunk < minParallelN/chunksPerWorker {
 		chunk = minParallelN / chunksPerWorker
 	}
-	// One closure for every chunk (bounds travel through ps.lo/ps.hi,
+	// One closure for every chunk (the bounds travel through lo and hi,
 	// mutated only between Run calls): a matching pass allocates nothing
-	// beyond the level's own buffers.
+	// per chunk.
+	var lo, hi int
 	propose := func(w int) {
-		lo, hi := ps.lo, ps.hi
-		plo, phi := par.Span(hi-lo, workers, w)
-		proposeRange(g, opt, match, order, prop, lo+plo, lo+phi, ps.ws[w].combined)
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		combined := s.combined
+		if ps != nil {
+			combined = ps.ws[w].combined
 		}
+		vlo, vhi := par.Span(n, workers, w)
+		proposeRange(g, opt, match, pos, prop, int32(lo), int32(hi), vlo, vhi, combined)
+	}
+	for lo = 0; lo < n; lo += chunk {
+		hi = min(lo+chunk, n)
 		chunks++
-		ps.lo, ps.hi = lo, hi
-		ps.pool.Run(propose)
+		if ps != nil {
+			ps.pool.Run(propose)
+		} else {
+			propose(0)
+		}
 		// In-order commit: identical to the sequential scan because a
 		// surviving proposal is the argmax over a superset of the current
 		// candidates, and an invalidated one is re-derived from current
@@ -176,11 +193,12 @@ func matchParInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch, ps *ps
 	return match, chunks, rescans
 }
 
-// proposeRange fills prop[idx] for idx in [lo, hi) with the preferred mate
-// of order[idx] under the snapshot match state (-1 for already-matched
-// vertices, v itself when no candidate fits). Reads only; all writes land
-// in the caller-owned prop range.
-func proposeRange(g *graph.Graph, opt Options, match, order, prop []int32, lo, hi int, combined []int64) {
+// proposeRange fills prop[pos[v]] for every vertex v in [vlo, vhi) whose
+// visit position lies in the chunk [lo, hi) with v's preferred mate under
+// the snapshot match state (-1 for already-matched vertices, v itself when
+// no candidate fits). Reads only; every write lands in the caller's prop
+// chunk, at a position no other vertex owns.
+func proposeRange(g *graph.Graph, opt Options, match, pos, prop []int32, lo, hi int32, vlo, vhi int, combined []int64) {
 	if g.Ncon == 1 {
 		// Single-constraint fast path: a 1-component weight vector has
 		// jaggedness 1 whatever its value, so the BalancedEdge tie-break
@@ -188,10 +206,13 @@ func proposeRange(g *graph.Graph, opt Options, match, order, prop []int32, lo, h
 		// test is one 64-bit add. Same selection, ~2x less work per edge.
 		xadj, adjncy, adjwgt, vwgt := g.Xadj, g.Adjncy, g.Adjwgt, g.Vwgt
 		maxW := opt.MaxVertexWeight
-		for idx := lo; idx < hi; idx++ {
-			v := order[idx]
+		for v := int32(vlo); v < int32(vhi); v++ {
+			p := pos[v]
+			if p < lo || p >= hi {
+				continue
+			}
 			if match[v] >= 0 {
-				prop[idx] = -1
+				prop[p] = -1
 				continue
 			}
 			vw := int64(vwgt[v])
@@ -210,25 +231,28 @@ func proposeRange(g *graph.Graph, opt Options, match, order, prop []int32, lo, h
 				}
 				best, bestW = u, w
 			}
-			prop[idx] = best
+			prop[p] = best
 		}
 		return
 	}
-	for idx := lo; idx < hi; idx++ {
-		v := order[idx]
-		if match[v] >= 0 {
-			prop[idx] = -1
+	for v := int32(vlo); v < int32(vhi); v++ {
+		p := pos[v]
+		if p < lo || p >= hi {
 			continue
 		}
-		prop[idx] = bestMate(g, opt, match, v, combined)
+		if match[v] >= 0 {
+			prop[p] = -1
+			continue
+		}
+		prop[p] = bestMate(g, opt, match, v, combined)
 	}
 }
 
-// bestMate is the sequential mate-selection rule of matchInto, factored
-// out for the propose and rescan paths: the unmatched neighbor with the
-// maximum edge weight that fits the cap, ties broken by minimum combined
-// jaggedness under BalancedEdge and then by adjacency order. Returns v
-// itself when no candidate fits.
+// bestMate is the SC'98 mate-selection rule, shared by the propose and
+// rescan paths: the unmatched neighbor with the maximum edge weight that
+// fits the cap, ties broken by minimum combined jaggedness under
+// BalancedEdge and then by adjacency order. Returns v itself when no
+// candidate fits.
 func bestMate(g *graph.Graph, opt Options, match []int32, v int32, combined []int64) int32 {
 	adj, wgt := g.Neighbors(v)
 	vw := g.VertexWeight(v)

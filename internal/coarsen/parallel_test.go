@@ -68,16 +68,78 @@ func kernelGraphs(t *testing.T) []namedGraph {
 	}
 }
 
+// matchSeqRef is the SC'98 sequential heavy-edge matching loop, kept as
+// the independent oracle for the propose/commit kernel: visit vertices in
+// one random permutation and match each unmatched one to its best
+// unmatched neighbor, judged on the live match array.
+func matchSeqRef(g *graph.Graph, rand *rng.RNG, opt Options) []int32 {
+	n := g.NumVertices()
+	match := make([]int32, n)
+	for i := range match {
+		match[i] = -1
+	}
+	order := make([]int32, n)
+	rand.Perm(order)
+	combined := make([]int64, g.Ncon)
+	for _, v := range order {
+		if match[v] >= 0 {
+			continue
+		}
+		adj, wgt := g.Neighbors(v)
+		vw := g.VertexWeight(v)
+		best := int32(-1)
+		bestW := int32(-1)
+		bestJag := 0.0
+		for i, u := range adj {
+			if match[u] >= 0 || u == v {
+				continue
+			}
+			if opt.MaxVertexWeight > 0 && !fitsCap(vw, g.VertexWeight(u), opt.MaxVertexWeight) {
+				continue
+			}
+			switch {
+			case wgt[i] > bestW:
+				best, bestW = u, wgt[i]
+				if opt.BalancedEdge {
+					bestJag = combinedJaggedness(combined, vw, g.VertexWeight(u))
+				}
+			case wgt[i] == bestW && opt.BalancedEdge:
+				if j := combinedJaggedness(combined, vw, g.VertexWeight(u)); j < bestJag {
+					best, bestJag = u, j
+				}
+			}
+		}
+		if best >= 0 {
+			match[v] = best
+			match[best] = v
+		} else {
+			match[v] = v
+		}
+	}
+	return match
+}
+
+// TestMatchParMatchesSequential pins the propose/commit kernel, inline on
+// one worker (Match) and on pools of every size, against the sequential
+// oracle, and checks the oracle and Match leave the RNG stream in the same
+// state.
 func TestMatchParMatchesSequential(t *testing.T) {
 	for _, kg := range kernelGraphs(t) {
 		name, g := kg.name, kg.g
 		for _, balanced := range []bool{false, true} {
 			for _, maxW := range []int64{0, 40} {
 				opt := Options{BalancedEdge: balanced, MaxVertexWeight: maxW}
-				want := Match(g, rng.New(42), opt)
+				refRand, matchRand := rng.New(42), rng.New(42)
+				want := matchSeqRef(g, refRand, opt)
+				if err := sliceEq("match", Match(g, matchRand, opt), want); err != nil {
+					t.Errorf("%s inline balanced=%v maxW=%d: %v", name, balanced, maxW, err)
+				}
+				if a, b := refRand.Uint64(), matchRand.Uint64(); a != b {
+					t.Errorf("%s balanced=%v maxW=%d: RNG stream after Match diverges from the oracle", name, balanced, maxW)
+				}
 				for _, w := range kernelWorkerCounts {
 					ps := newPscratch(w, g.Ncon)
-					got, chunks, _ := matchParInto(g, rng.New(42), opt, newScratch(g.NumVertices(), g.Ncon), ps)
+					got, chunks, _ := matchInto(g, rng.New(42), opt, newScratch(g.NumVertices(), g.Ncon), ps)
 					if chunks < 1 {
 						t.Errorf("%s workers=%d: no chunks ran", name, w)
 					}

@@ -26,18 +26,24 @@ import (
 // and internal degree from its adjacency list, consulting neither the
 // boundary set, the row cache nor the refinement state. It shares setup,
 // apply and the move rules with Refiner, so a divergence isolates the skip
-// tests and the cached gathers.
+// tests and the cached gathers. It draws every pass's order with rand.Perm
+// on the calling goroutine, which also makes it the oracle for the
+// refiner's permutation stream.
 type fullScan struct{ *Refiner }
 
 func (f fullScan) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	f.setup(g, part)
+	order := make([]int32, g.NumVertices())
 	total := 0
 	for pass := 0; pass < f.opt.Passes; pass++ {
+		if f.opt.Stop != nil && f.opt.Stop() {
+			break
+		}
 		moves := 0
 		if f.imbalanced() {
-			moves += f.balancePass(g, part, rand)
+			moves += f.balancePass(g, part, rand, order)
 		}
-		moves += f.greedyPass(g, part, rand)
+		moves += f.greedyPass(g, part, rand, order)
 		total += moves
 		if moves == 0 {
 			break
@@ -48,9 +54,13 @@ func (f fullScan) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 
 func (f fullScan) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	f.setup(g, part)
+	order := make([]int32, g.NumVertices())
 	total := 0
 	for pass := 0; pass < f.opt.Passes && f.imbalanced(); pass++ {
-		moves := f.balancePass(g, part, rand)
+		if f.opt.Stop != nil && f.opt.Stop() {
+			break
+		}
+		moves := f.balancePass(g, part, rand, order)
 		total += moves
 		if moves == 0 {
 			break
@@ -75,11 +85,11 @@ func (f fullScan) gather(g *graph.Graph, part []int32, v int32) (id int64, bound
 	return id, len(f.rows.Touched()) > 0
 }
 
-func (f fullScan) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	rand.Perm(f.order)
+func (f fullScan) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG, order []int32) int {
+	rand.Perm(order)
 	m := f.m
 	moves := 0
-	for _, v := range f.order {
+	for _, v := range order {
 		a := part[v]
 		id, boundary := f.gather(g, part, v)
 		if !boundary {
@@ -113,11 +123,11 @@ func (f fullScan) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	return moves
 }
 
-func (f fullScan) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	rand.Perm(f.order)
+func (f fullScan) balancePass(g *graph.Graph, part []int32, rand *rng.RNG, order []int32) int {
+	rand.Perm(order)
 	m := f.m
 	moves := 0
-	for _, v := range f.order {
+	for _, v := range order {
 		a := part[v]
 		if !vecw.AnyOver(f.pwgts[int(a)*m:(int(a)+1)*m], f.limit[int(a)*m:(int(a)+1)*m]) {
 			continue
@@ -287,16 +297,18 @@ func TestIdleVertexWakesWhenNeighborMoves(t *testing.T) {
 	part := []int32{0, 0, 0, 0, 0, 0, 0, 1, 1, 1}
 	const x, y = 0, 1
 	r := NewRefiner(2, 1, Options{Tol: 0.05})
+	rand := rng.New(5)
+	r.begin(g, rand)
+	defer r.stream.finish(rand)
 	r.setup(g, part)
 	if r.limit[0] != 6 {
 		t.Fatalf("limit = %d, want 6", r.limit[0])
 	}
-	rand := rng.New(5)
 
 	if r.st[x] != stIdle {
 		t.Fatalf("with gain -1, st[%d] = %d after setup, want stIdle", x, r.st[x])
 	}
-	if moves := r.greedyPass(g, part, rand); moves != 0 {
+	if moves := r.greedyPass(g, part); moves != 0 {
 		t.Fatalf("first pass made %d moves, want 0", moves)
 	}
 	if err := r.verifyState(g); err != nil {
@@ -317,7 +329,7 @@ func TestIdleVertexWakesWhenNeighborMoves(t *testing.T) {
 	}
 
 	evaluated0 := r.evaluated
-	if moves := r.greedyPass(g, part, rand); moves != 1 || part[x] != 1 {
+	if moves := r.greedyPass(g, part); moves != 1 || part[x] != 1 {
 		t.Fatalf("second pass: %d moves, part[%d] = %d; want 1 move of %d into part 1", moves, x, part[x], x)
 	}
 	if r.evaluated == evaluated0 {

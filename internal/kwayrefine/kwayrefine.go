@@ -12,10 +12,12 @@
 // incrementally — only the moved vertex and its neighbors — on every move.
 // A greedy pass therefore costs O(n) for the random permutation plus
 // O(degree) per *boundary* vertex, instead of the O(n + m) full scan of the
-// pre-boundary implementation. A one-byte refinement state per vertex sits
-// in front of the caches: boundary vertices whose every gain is provably
-// negative are idle and skipped without touching the caches, until a move
-// next to them makes them worth evaluating again. The refiner is pinned
+// pre-boundary implementation, and the permutation itself is computed one
+// pass ahead on a producer goroutine (permstream.go), off the critical
+// path. A one-byte refinement state per vertex sits in front of the caches:
+// boundary vertices whose every gain is provably negative are idle and
+// skipped without touching the caches, until a move next to them makes
+// them worth evaluating again. The refiner is pinned
 // bit-identical to a full-scan oracle kept in the tests (see
 // boundary_test.go and DESIGN.md, "Boundary refinement contract").
 package kwayrefine
@@ -47,8 +49,9 @@ type Options struct {
 	// Trace, when non-nil, records one "refine.pass" span per refinement
 	// pass (the observability hook; see DESIGN.md, "Observability"),
 	// attributed with the boundary size at pass start, the gain-cache
-	// entries rewritten during the pass, and the boundary vertices the
-	// greedy pass evaluated or skipped as idle. nil disables all recording.
+	// entries rewritten during the pass, the boundary vertices the greedy
+	// pass evaluated or skipped as idle, and the time the pass waited for
+	// its permutations. nil disables all recording.
 	Trace *trace.Rank
 }
 
@@ -80,8 +83,9 @@ type Refiner struct {
 	// rows is the per-vertex gain-row accumulator (edge weight toward each
 	// adjacent foreign subdomain), shared structurally with the parallel
 	// refiner via internal/gaincache.
-	rows  *gaincache.Rows
-	order []int32
+	rows *gaincache.Rows
+	// stream computes the pass permutations one pass ahead (permstream.go).
+	stream *permStream
 
 	// The gain cache: per-vertex internal (same-subdomain) and external
 	// edge weight, foreign-neighbor count, and the boundary set it induces
@@ -129,10 +133,11 @@ const (
 func NewRefiner(k, m int, opt Options) *Refiner {
 	return &Refiner{
 		k: k, m: m, opt: opt.withDefaults(),
-		pwgts: make([]int64, k*m),
-		limit: make([]int64, k*m),
-		avg:   make([]float64, m),
-		rows:  gaincache.NewRows(k),
+		pwgts:  make([]int64, k*m),
+		limit:  make([]int64, k*m),
+		avg:    make([]float64, m),
+		rows:   gaincache.NewRows(k),
+		stream: newPermStream(),
 	}
 }
 
@@ -144,8 +149,8 @@ func (r *Refiner) Reserve(g *graph.Graph) {
 }
 
 func (r *Refiner) grow(n, nnz int) {
-	if cap(r.order) < n {
-		r.order = make([]int32, 0, n)
+	r.stream.reserve(n)
+	if cap(r.id) < n {
 		r.id = make([]int64, 0, n)
 		r.ed = make([]int64, 0, n)
 		r.nfr = make([]int32, 0, n)
@@ -160,6 +165,14 @@ func (r *Refiner) grow(n, nnz int) {
 	}
 }
 
+// begin sizes the tables for g and starts the permutation stream on rand,
+// so the first pass's order is computed while setup runs. The caller must
+// defer r.stream.finish(rand).
+func (r *Refiner) begin(g *graph.Graph, rand *rng.RNG) {
+	r.grow(g.NumVertices(), len(g.Adjncy))
+	r.stream.start(rand, g.NumVertices())
+}
+
 // setup recomputes subdomain weights, averages and limits for g/part, seeds
 // the gain cache (id/ed/nfr and the boundary set) with one scan over the
 // edges, and sizes the per-vertex scratch — the single shared preamble for
@@ -171,7 +184,6 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 	n := g.NumVertices()
 	m := r.m
 	r.grow(n, len(g.Adjncy))
-	r.order = r.order[:n]
 	r.id = r.id[:n]
 	r.ed = r.ed[:n]
 	r.nfr = r.nfr[:n]
@@ -249,15 +261,19 @@ func (r *Refiner) PartWeights() []int64 {
 
 // Refine runs greedy refinement passes (preceded by balancing passes when
 // the partitioning is imbalanced) until convergence or the pass budget is
-// exhausted. It returns the number of vertex moves made.
+// exhausted. It returns the number of vertex moves made. The passes' random
+// orders are drawn from rand exactly as by one rand.Perm per pass, on a
+// helper goroutine that Refine joins before it returns.
 func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
+	r.begin(g, rand)
+	defer r.stream.finish(rand)
 	r.setup(g, part)
 	totalMoves := 0
 	for pass := 0; pass < r.opt.Passes; pass++ {
 		if r.opt.Stop != nil && r.opt.Stop() {
 			break
 		}
-		updates0, evaluated0, idleSkips0 := r.updates, r.evaluated, r.idleSkips
+		updates0, evaluated0, idleSkips0, wait0 := r.updates, r.evaluated, r.idleSkips, r.stream.wait
 		if r.opt.Trace != nil {
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
@@ -266,16 +282,17 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		}
 		moves := 0
 		if r.imbalanced() {
-			moves += r.balancePass(g, part, rand)
+			moves += r.balancePass(g, part)
 		}
-		moves += r.greedyPass(g, part, rand)
+		moves += r.greedyPass(g, part)
 		totalMoves += moves
 		if r.opt.Trace != nil {
 			r.opt.Trace.End(
 				trace.I64("moves", int64(moves)),
 				trace.I64("gain_cache_updates", r.updates-updates0),
 				trace.I64("evaluated", r.evaluated-evaluated0),
-				trace.I64("idle_skipped", r.idleSkips-idleSkips0))
+				trace.I64("idle_skipped", r.idleSkips-idleSkips0),
+				trace.I64("perm_wait_us", (r.stream.wait-wait0).Microseconds()))
 		}
 		if check.Enabled {
 			r.checkCaches("kwayrefine: after refine pass", g, part)
@@ -288,15 +305,18 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 }
 
 // Balance runs only balancing passes; used to recover partitions that are
-// too imbalanced for greedy refinement to help (ablation 4 harness).
+// too imbalanced for greedy refinement to help (ablation 4 harness). It
+// draws its orders the way Refine does.
 func (r *Refiner) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
+	r.begin(g, rand)
+	defer r.stream.finish(rand)
 	r.setup(g, part)
 	total := 0
 	for pass := 0; pass < r.opt.Passes && r.imbalanced(); pass++ {
 		if r.opt.Stop != nil && r.opt.Stop() {
 			break
 		}
-		moves := r.balancePass(g, part, rand)
+		moves := r.balancePass(g, part)
 		total += moves
 		if check.Enabled {
 			r.checkCaches("kwayrefine: after balance pass", g, part)
@@ -331,11 +351,11 @@ func (r *Refiner) imbalanced() bool {
 // vertices are skipped on their one-byte state alone, and a vertex whose
 // every gain turns out negative is marked idle for the passes that follow.
 // Returns the number of moves.
-func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	rand.Perm(r.order)
+func (r *Refiner) greedyPass(g *graph.Graph, part []int32) int {
+	order := r.stream.next(r.opt.Trace != nil)
 	m := r.m
 	moves := 0
-	for _, v := range r.order {
+	for _, v := range order {
 		switch r.st[v] {
 		case stInterior:
 			continue
@@ -388,11 +408,11 @@ func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 // eligible too (they become fully exposed), so the pass cannot filter
 // through the boundary set; it does use the cache to skip the adjacency
 // scan for them. Returns the number of moves.
-func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	rand.Perm(r.order)
+func (r *Refiner) balancePass(g *graph.Graph, part []int32) int {
+	order := r.stream.next(r.opt.Trace != nil)
 	m := r.m
 	moves := 0
-	for _, v := range r.order {
+	for _, v := range order {
 		a := part[v]
 		if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) {
 			continue

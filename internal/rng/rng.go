@@ -12,7 +12,10 @@
 // sequence is not guaranteed to be stable across Go releases.
 package rng
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // splitmix64 advances a 64-bit state and returns the next output of the
 // SplitMix64 sequence. It is used to seed the main generator and to derive
@@ -125,19 +128,40 @@ func (r *RNG) Float64() float64 {
 }
 
 // Perm fills p with a uniformly random permutation of [0, len(p)).
-func (r *RNG) Perm(p []int32) {
+func (r *RNG) Perm(p []int32) { r.PermUntil(p, nil) }
+
+// PermUntil is Perm for a producer that may be told to give up: once stop
+// (when non-nil) reads true it abandons the permutation and returns false,
+// leaving p and r in unspecified states. It polls stop before starting and
+// every permPoll swaps. A call that returns true has drawn exactly what Perm
+// draws.
+func (r *RNG) PermUntil(p []int32, stop *atomic.Bool) bool {
+	if stop != nil && stop.Load() {
+		return false
+	}
 	for i := range p {
 		p[i] = int32(i)
 	}
-	r.Shuffle(p)
+	return r.shuffle(p, stop)
 }
 
+// permPoll is PermUntil's polling interval in swaps (a power of two):
+// about 65 µs of shuffling at n = 1M, so a producer told to stop returns
+// long before the consumer would notice.
+const permPoll = 1 << 12
+
 // Shuffle permutes p uniformly at random (Fisher-Yates).
-func (r *RNG) Shuffle(p []int32) {
+func (r *RNG) Shuffle(p []int32) { r.shuffle(p, nil) }
+
+func (r *RNG) shuffle(p []int32, stop *atomic.Bool) bool {
 	for i := len(p) - 1; i > 0; i-- {
+		if stop != nil && i&(permPoll-1) == 0 && stop.Load() {
+			return false
+		}
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
+	return true
 }
 
 // Bool returns true with probability 1/2.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,37 @@ func TestPermIsShuffled(t *testing.T) {
 	// Expected number of fixed points of a random permutation is 1.
 	if fixed > 10 {
 		t.Errorf("%d fixed points; permutation looks unshuffled", fixed)
+	}
+}
+
+// TestPermUntilMatchesPerm: an uninterrupted PermUntil draws exactly what
+// Perm draws, and a raised stop flag abandons it before any work.
+func TestPermUntilMatchesPerm(t *testing.T) {
+	var stop atomic.Bool
+	for _, n := range []int{0, 1, 17, 3*permPoll + 5} {
+		a, b := New(19), New(19)
+		pa, pb := make([]int32, n), make([]int32, n)
+		a.Perm(pa)
+		if !b.PermUntil(pb, &stop) {
+			t.Fatalf("n=%d: PermUntil gave up with stop unset", n)
+		}
+		for i := range pa {
+			if pa[i] != pb[i] {
+				t.Fatalf("n=%d: p[%d] = %d, Perm gave %d", n, i, pb[i], pa[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams diverge after the permutation", n)
+		}
+	}
+	stop.Store(true)
+	r := New(19)
+	before := *r
+	if r.PermUntil(make([]int32, permPoll), &stop) {
+		t.Fatal("PermUntil completed with stop set")
+	}
+	if *r != before {
+		t.Fatal("PermUntil drew from the stream with stop set on entry")
 	}
 }
 

@@ -58,9 +58,9 @@ type Options struct {
 	// (sniff the finest graph's degree skew). See coarsen.Scheme.
 	CoarsenScheme coarsen.Scheme
 	// CoarsenWorkers sets the shared-memory worker count for the coarsening
-	// kernels (matching, contraction, LP clustering). 0 or 1 selects the
-	// sequential kernels; any value >= 2 runs them on that many goroutines
-	// with a bit-identical result (see coarsen.Options.Workers and
+	// kernels (matching, contraction, LP clustering). 0 or 1 runs them on
+	// the calling goroutine; any value >= 2 runs them on that many
+	// goroutines with a bit-identical result (see coarsen.Options.Workers and
 	// DESIGN.md, "Parallel coarsening contract").
 	CoarsenWorkers int
 }
@@ -102,7 +102,7 @@ type Stats struct {
 }
 
 // maxRestarts bounds the seeded retries Partition may take when a run ends
-// badly imbalanced. The paper observes that an initial partitioning more
+// above the balance tolerance. The paper observes that an initial partitioning more
 // than ~20% imbalanced is unlikely to be repaired by multilevel refinement;
 // on rare seeds the recursive bisection produces exactly that, and a
 // restart from a derived seed is the robust (and cheap, since it is rare)
@@ -112,7 +112,7 @@ const maxRestarts = 2
 // Partition computes a k-way multi-constraint partitioning of g and
 // returns the subdomain label per vertex. The partitioning targets equal
 // per-constraint weight across the k subdomains within opt.Tol. If a run
-// converges with a badly imbalanced result, it is retried from derived
+// converges with a result above 1+opt.Tol, it is retried from derived
 // seeds (see Stats.Restarts).
 func Partition(g *graph.Graph, k int, opt Options) ([]int32, Stats, error) {
 	return PartitionCtx(context.Background(), g, k, opt)
@@ -142,7 +142,7 @@ func PartitionTraced(ctx context.Context, g *graph.Graph, k int, opt Options, tr
 	if tol <= 0 {
 		tol = 0.05
 	}
-	for attempt := 1; attempt <= maxRestarts && stats.Imbalance > 1+2*tol; attempt++ {
+	for attempt := 1; attempt <= maxRestarts && stats.Imbalance > 1+tol; attempt++ {
 		retryOpt := opt
 		retryOpt.Seed = opt.Seed ^ (uint64(attempt) * 0x9e3779b97f4a7c15)
 		p2, s2, err2 := partitionOnce(ctx, g, k, retryOpt, tr)

@@ -107,10 +107,10 @@ func TestSerialTraceShape(t *testing.T) {
 		t.Errorf("%d refine.pass spans for %d refine.level spans", spans["refine.pass"], spans["refine.level"])
 	}
 	// Every refine.pass span carries the boundary refiner's per-pass
-	// counters, and across the run some boundary vertices are skipped as
-	// idle: the greedy passes after the first find most of the boundary
-	// with only negative gains.
-	for _, key := range []string{"boundary_n", "gain_cache_updates", "evaluated", "idle_skipped"} {
+	// counters and the time it waited for its permutations, and across the
+	// run some boundary vertices are skipped as idle: the greedy passes
+	// after the first find most of the boundary with only negative gains.
+	for _, key := range []string{"boundary_n", "gain_cache_updates", "evaluated", "idle_skipped", "perm_wait_us"} {
 		if got := sum.SpanAttrs[0]["refine.pass"][key]; got != spans["refine.pass"] {
 			t.Errorf("%d of %d refine.pass spans carry %q", got, spans["refine.pass"], key)
 		}
